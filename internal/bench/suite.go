@@ -70,7 +70,8 @@ func buildPrefetch() (cache.Sim, error) {
 
 // strided64 measures the paper's canonical vector access — a 64-element
 // stride-512 sweep — in steady state (the first pass runs at setup), per
-// access or through the devirtualized batch path.
+// access through the Sim interface or in batches through
+// cache.AccessBatch.
 func strided64(name string, build func() (cache.Sim, error), batch bool) Scenario {
 	return Scenario{Name: name, Refs: 64, Setup: func() (func() error, func(), error) {
 		sim, err := build()
@@ -83,11 +84,7 @@ func strided64(name string, build func() (cache.Sim, error), batch bool) Scenari
 		}
 		cache.AccessBatch(sim, accs, nil) // warm: steady-state passes only
 		if batch {
-			bs, ok := sim.(cache.BatchSim)
-			if !ok {
-				return nil, nil, fmt.Errorf("%s does not implement cache.BatchSim", name)
-			}
-			return func() error { bs.AccessBatch(accs, nil); return nil }, nil, nil
+			return func() error { cache.AccessBatch(sim, accs, nil); return nil }, nil, nil
 		}
 		return func() error {
 			for _, a := range accs {

@@ -57,9 +57,7 @@ type Cache struct {
 	clock     uint64
 	rng       *rand.Rand
 
-	seen      map[uint64]bool // lines ever referenced (compulsory tracking)
-	shadow    *shadow         // fully-assoc LRU of equal capacity (3C split)
-	evictedBy map[uint64]int  // line → stream that evicted it most recently
+	cls *classifier // three-C split; nil when DisableClassify
 
 	stats          Stats
 	prefetchWasted uint64 // prefetched lines evicted before demand touch
@@ -85,9 +83,7 @@ func New(cfg Config) (*Cache, error) {
 		c.sets[i] = make([]way, cfg.Ways)
 	}
 	if !cfg.DisableClassify {
-		c.seen = make(map[uint64]bool)
-		c.shadow = newShadow(cfg.Mapper.Sets() * cfg.Ways)
-		c.evictedBy = make(map[uint64]int)
+		c.cls = newClassifier(cfg.Mapper.Sets() * cfg.Ways)
 	}
 	return c, nil
 }
@@ -128,11 +124,7 @@ func (c *Cache) Flush() {
 	c.clock = 0
 	c.stats = Stats{}
 	c.prefetchWasted = 0
-	if c.seen != nil {
-		c.seen = make(map[uint64]bool)
-		c.shadow.reset()
-		c.evictedBy = make(map[uint64]int)
-	}
+	c.cls.reset()
 }
 
 // LineAddr returns the line address of a byte address under this cache's
@@ -168,6 +160,19 @@ func (c *Cache) Contains(addr uint64) bool {
 // stores allocate (the paper's CC-model assumes writes are buffered and do
 // not stall the pipeline; allocation policy only affects contents).
 func (c *Cache) Access(a Access) Result {
+	line := c.LineAddr(a.Addr)
+	var r Result
+	c.access(&a, line, c.cfg.Mapper.Index(line), &r)
+	return r
+}
+
+// access is the one simulation step of every Cache path: it counts the
+// reference to line, whose set index the caller computed, and on a miss
+// classifies it, picks a victim and fills. The outcome goes to out
+// unless out is nil. access also reports whether a hit landed on a
+// prefetched line no demand access had touched yet, and clears that
+// mark.
+func (c *Cache) access(a *Access, line uint64, set int, out *Result) bool {
 	c.clock++
 	c.stats.Accesses++
 	if a.Write {
@@ -179,76 +184,55 @@ func (c *Cache) Access(a Access) Result {
 		c.stats.Reads++
 	}
 
-	line := c.LineAddr(a.Addr)
-	set := c.cfg.Mapper.Index(line)
+	// The classifier sees every reference so the 3C split stays
+	// consistent even across hits.
+	kind := c.cls.reference(line)
+
 	ways := c.sets[set]
-
-	// Shadow/compulsory bookkeeping happens on every access so the 3C
-	// split stays consistent even across hits.
-	var shadowHit, firstRef bool
-	if c.shadow != nil {
-		firstRef = !c.seen[line]
-		c.seen[line] = true
-		shadowHit = c.shadow.touch(line)
-	}
-
 	for i := range ways {
-		if ways[i].valid && ways[i].line == line {
-			ways[i].lastUse = c.clock
+		w := &ways[i]
+		if w.valid && w.line == line {
+			w.lastUse = c.clock
 			if a.Write && c.cfg.WriteBack {
-				ways[i].dirty = true
+				w.dirty = true
 			}
 			c.stats.Hits++
-			return Result{Hit: true, Set: set, Way: i}
+			if out != nil {
+				*out = Result{Hit: true, Set: set, Way: i}
+			}
+			if w.prefetched {
+				w.prefetched = false
+				return true
+			}
+			return false
 		}
 	}
 
-	// Miss: classify, then fill.
 	c.stats.Misses++
 	res := Result{Set: set}
-	if c.shadow != nil {
-		switch {
-		case firstRef:
-			res.Kind = MissCompulsory
-			c.stats.Compulsory++
-		case shadowHit:
-			res.Kind = MissConflict
-			c.stats.Conflict++
-			if evictor, ok := c.evictedBy[line]; ok && a.Stream != StreamNone && evictor != StreamNone {
-				if evictor == a.Stream {
-					res.SelfInterference = true
-					c.stats.SelfInterference++
-				} else {
-					res.CrossInterference = true
-					c.stats.CrossInterference++
-				}
-			}
-		default:
-			res.Kind = MissCapacity
-			c.stats.Capacity++
-		}
-	}
+	c.cls.classify(&res, &c.stats, kind, line, a.Stream)
 
 	victim := c.pickVictim(ways)
-	if ways[victim].valid {
+	if v := &ways[victim]; v.valid {
 		res.Evicted = true
-		res.EvictedLine = ways[victim].line
+		res.EvictedLine = v.line
 		c.stats.Evictions++
-		if ways[victim].prefetched {
+		if v.prefetched {
 			c.prefetchWasted++
 		}
-		if ways[victim].dirty {
+		if v.dirty {
 			c.stats.Writebacks++
 			c.stats.MemoryWrites++
 		}
-		if c.evictedBy != nil {
-			c.evictedBy[ways[victim].line] = a.Stream
-		}
+		c.cls.evicted(v.line, a.Stream)
 	}
 	ways[victim] = way{valid: true, line: line, stream: a.Stream, lastUse: c.clock, filled: c.clock,
 		dirty: a.Write && c.cfg.WriteBack}
 	res.Way = victim
-	return res
+	if out != nil {
+		*out = res
+	}
+	return false
 }
 
 func (c *Cache) pickVictim(ways []way) int {

@@ -117,11 +117,11 @@ func (p *PrefetchCache) Flush() {
 // Access performs a demand access and then issues any prefetches the
 // scheme calls for. Prefetch fills do not count as demand accesses.
 func (p *PrefetchCache) Access(a Access) Result {
-	r, wasPrefetched := p.c.demandAccess(a)
-	if wasPrefetched {
+	line := p.c.LineAddr(a.Addr)
+	var r Result
+	if p.c.access(&a, line, p.c.cfg.Mapper.Index(line), &r) {
 		p.stats.Useful++
 	}
-	line := p.c.LineAddr(a.Addr)
 	switch p.kind {
 	case PrefetchSequential:
 		if !r.Hit {
@@ -155,23 +155,6 @@ func (p *PrefetchCache) install(line uint64, stream int) {
 	}
 }
 
-// demandAccess is Access plus a report of whether the hit line was a
-// not-yet-touched prefetch.
-func (c *Cache) demandAccess(a Access) (Result, bool) {
-	line := c.LineAddr(a.Addr)
-	set := c.cfg.Mapper.Index(line)
-	wasPrefetched := false
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.line == line && w.prefetched {
-			w.prefetched = false
-			wasPrefetched = true
-			break
-		}
-	}
-	return c.Access(a), wasPrefetched
-}
-
 // installLine quietly fills a line (no demand statistics), marking it
 // prefetched. It reports whether a fill actually happened (false when the
 // line was already resident).
@@ -189,9 +172,7 @@ func (c *Cache) installLine(line uint64, stream int) bool {
 		if ways[victim].prefetched {
 			c.prefetchWasted++
 		}
-		if c.evictedBy != nil {
-			c.evictedBy[ways[victim].line] = stream
-		}
+		c.cls.evicted(ways[victim].line, stream)
 	}
 	ways[victim] = way{valid: true, line: line, stream: stream, lastUse: c.clock, filled: c.clock, prefetched: true}
 	// Keep the shadow and compulsory history consistent: a prefetched

@@ -74,8 +74,8 @@ func (s *shadow) touch(line uint64) bool {
 				reuse = int64(i)
 			}
 		} else if s.nodes[v].line == line {
-			// Splice v to the front, fused here rather than via
-			// moveToFront: v != head implies v has a predecessor, and
+			// Splice v to the front inline rather than via unlink and
+			// pushFront: v != head implies v has a predecessor, and
 			// v's own links are overwritten, not cleared — the hit path
 			// is the hottest code in a classifying simulation.
 			if s.head != v {
@@ -178,14 +178,6 @@ func (s *shadow) unlink(n int32) {
 		s.tail = nd.prev
 	}
 	nd.prev, nd.next = -1, -1
-}
-
-func (s *shadow) moveToFront(n int32) {
-	if s.head == n {
-		return
-	}
-	s.unlink(n)
-	s.pushFront(n)
 }
 
 func (s *shadow) len() int { return s.size }

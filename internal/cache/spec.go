@@ -11,10 +11,10 @@ import (
 )
 
 // Sim is the minimal interface every cache organisation in this package
-// implements: the plain Cache, the SkewedCache, and the VictimCache. It
-// is what trace replay and the vcached server program against, so one
-// codec can drive any organisation. Implementations are not safe for
-// concurrent use; callers own one Sim per goroutine.
+// implements: the plain Cache, the SkewedCache, the VictimCache, and the
+// PrefetchCache. It is what trace replay and the vcached server program
+// against, so one codec can drive any organisation. Implementations are
+// not safe for concurrent use; callers own one Sim per goroutine.
 type Sim interface {
 	Access(Access) Result
 	Stats() Stats
@@ -26,6 +26,7 @@ var (
 	_ Sim = (*Cache)(nil)
 	_ Sim = (*SkewedCache)(nil)
 	_ Sim = (*VictimCache)(nil)
+	_ Sim = (*PrefetchCache)(nil)
 )
 
 // Spec is a serialisable description of a cache organisation — the one

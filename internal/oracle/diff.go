@@ -115,7 +115,7 @@ func DiffFactories(mk func() (cache.Sim, cache.Sim, error), tr trace.Trace) (*Di
 }
 
 // diffChunk is the batch size the fast side streams through: the
-// campaign then exercises the same devirtualized batch loops production
+// campaign then exercises the same cache.AccessBatch path production
 // replay uses, while the reference stays per-access.
 const diffChunk = 64
 

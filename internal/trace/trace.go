@@ -144,9 +144,9 @@ func FFTStage(baseWord uint64, n, span, stream int) (Trace, error) {
 
 // Replay runs the trace through any cache organisation and returns the
 // stats delta for exactly this trace. The references stream through the
-// batch API in fixed-size chunks, so organisations with a devirtualized
-// fast path (see cache.BatchSim) replay at batch speed; the outcome is
-// identical to per-access replay.
+// batch API (cache.AccessBatch) in fixed-size chunks, which lets a
+// *cache.Cache compute set indices without per-access interface calls;
+// the outcome is identical to per-access replay.
 func Replay(c cache.Sim, t Trace) cache.Stats {
 	before := c.Stats()
 	var buf [replayChunk]cache.Access
