@@ -18,7 +18,7 @@ FUZZTIME ?= 10s
 # Seeded fault schedules per `make chaos` run (see internal/sim/chaos).
 CHAOS_SCHEDULES ?= 50
 
-.PHONY: build test vet race race-server cluster-test stress chaos persist-test bench bench-go bench-smoke oracle fuzz-smoke obs-test obscheck docs-check golden-update ci
+.PHONY: build test vet fmt-check race race-server cluster-test stress chaos persist-test bench bench-go bench-smoke oracle fuzz-smoke obs-test docs-check golden-update ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would rewrite any source file (the
+# benchmark's build directory, which holds a module cache, is skipped).
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal vbench); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The server and its daemon are the concurrent subsystems; always race
 # them. `make race` runs the whole tree when time permits.
@@ -99,22 +104,21 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBankModelVsBruteForce -fuzztime=$(FUZZTIME) ./internal/membank/
 	$(GO) test -run=NONE -fuzz=FuzzTraceRead -fuzztime=$(FUZZTIME) ./internal/trace/
 
-# Observability suite: the tracing/exposition unit layer, the /metrics
-# golden + quantile-vs-ladder property tests, and the end-to-end
-# stitched-span-tree determinism checks — all under the race detector.
-# obscheck is the span-policy lint: every route registration in the
-# HTTP layers must go through a span-recording wrapper.
-obs-test: obscheck
-	$(GO) test -race -count=1 ./internal/obs/ ./cmd/obscheck/
+# Observability suite: the tracing/exposition/registry unit layer, the
+# /metrics golden + quantile-vs-ladder property tests, and the
+# end-to-end stitched-span-tree determinism checks — all under the race
+# detector. docs-check carries the span-policy lint: every route
+# registration in the HTTP layers must go through a span-recording
+# wrapper.
+obs-test: docs-check
+	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'Metrics|Traces|Trace|Quantile|Exposition' ./internal/server/ ./internal/cluster/
 
-obscheck:
-	$(GO) run ./cmd/obscheck
-
-# Documentation lint: every mux route in the HTTP layers has an API.md
-# entry, every intra-repo markdown link resolves, and every exported
-# identifier in internal/cluster and internal/persist carries a doc
-# comment (cmd/doccheck, plus its own tests).
+# Documentation and route lint: every mux route in the HTTP layers has
+# an API.md entry and a span-policy wrapper, every intra-repo markdown
+# link resolves, and every exported identifier in internal/cluster and
+# internal/persist carries a doc comment (cmd/doccheck, plus its own
+# tests).
 docs-check:
 	$(GO) run ./cmd/doccheck
 	$(GO) test -count=1 ./cmd/doccheck/
@@ -136,4 +140,4 @@ golden-update:
 	$(GO) test ./internal/server/ -run Golden -update
 	$(GO) test ./internal/cache/ -run StatsGolden -update
 
-ci: vet build test race-server cluster-test stress chaos persist-test obs-test docs-check fuzz-smoke oracle bench-smoke
+ci: fmt-check vet build test race-server cluster-test stress chaos persist-test obs-test docs-check fuzz-smoke oracle bench-smoke

@@ -1,5 +1,5 @@
 // Command doccheck keeps the documentation layer honest against the
-// code. Three checks, any failure fails `make ci`:
+// code. Four checks, any failure fails `make ci`:
 //
 //  1. Route coverage — every route pattern registered on a ServeMux in
 //     internal/server and internal/cluster (e.g. "POST /v1/simulate")
@@ -13,6 +13,13 @@
 //  3. Doc comments — every exported top-level declaration in
 //     internal/cluster and internal/persist (the membership and
 //     migration surfaces API.md leans on) must carry a doc comment.
+//
+//  4. Span policy — every route registered on a ServeMux in the HTTP
+//     layers must pass its handler through one of the span-recording
+//     wrappers: instrument / traced (edge span per request) or
+//     instrumentLive / tracedLive (explicitly untraced: probes and
+//     scrapes). A bare registration compiles fine but silently drops
+//     that endpoint out of every trace.
 //
 //     go run ./cmd/doccheck             # checks from the repo root
 //     go run ./cmd/doccheck -root /path
@@ -59,6 +66,7 @@ func main() {
 	checkRoutes(*root, report)
 	checkLinks(*root, report)
 	checkDocComments(*root, report)
+	checkSpanPolicy(*root, report)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -85,7 +93,7 @@ func checkRoutes(root string, report func(string, ...any)) {
 	doc := string(api)
 	for _, dir := range routeDirs {
 		for _, r := range muxRoutes(filepath.Join(root, dir)) {
-			if !strings.Contains(doc, r.pattern) {
+			if r.pattern != "" && !strings.Contains(doc, r.pattern) {
 				report("%s: route %q registered at %s is not documented in %s",
 					dir, r.pattern, r.pos, apiDoc)
 			}
@@ -93,15 +101,40 @@ func checkRoutes(root string, report func(string, ...any)) {
 	}
 }
 
-// route is one extracted mux registration.
+// wrappers are the approved span-policy wrappers. A mux registration
+// whose handler argument is not a direct call to one of these fails.
+var wrappers = map[string]bool{
+	"instrument":     true, // server: edge span + metrics + drain guard
+	"instrumentLive": true, // server: metrics only, deliberately untraced
+	"traced":         true, // coordinator: edge span
+	"tracedLive":     true, // coordinator: deliberately untraced
+}
+
+// checkSpanPolicy requires every mux registration under routeDirs to
+// wrap its handler in one of the span-policy wrappers.
+func checkSpanPolicy(root string, report func(string, ...any)) {
+	for _, dir := range routeDirs {
+		for _, r := range muxRoutes(filepath.Join(root, dir)) {
+			if !r.wrapped {
+				report("%s: route %q registered at %s without a span-policy wrapper (use instrument/instrumentLive or traced/tracedLive)",
+					dir, r.pattern, r.pos)
+			}
+		}
+	}
+}
+
+// route is one extracted mux registration: its literal pattern ("" when
+// the pattern is not a string literal), its position, and whether the
+// handler goes through a span-policy wrapper.
 type route struct {
 	pattern string
 	pos     string
+	wrapped bool
 }
 
 // muxRoutes parses every non-test Go file in dir (flat, like the HTTP
-// layers) and collects the string-literal patterns of Handle/HandleFunc
-// calls on a mux.
+// layers) and collects the Handle/HandleFunc registrations on a mux.
+// Both the route-coverage and the span-policy checks walk this list.
 func muxRoutes(dir string) []route {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -130,26 +163,41 @@ func muxRoutes(dir string) []route {
 			if !isMux(sel.X) || len(call.Args) != 2 {
 				return true
 			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
+			r := route{pos: fset.Position(call.Pos()).String(), wrapped: isWrapped(call.Args[1])}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				r.pattern = strings.Trim(lit.Value, `"`)
 			}
-			pattern := strings.Trim(lit.Value, `"`)
-			routes = append(routes, route{pattern: pattern, pos: fset.Position(call.Pos()).String()})
+			routes = append(routes, r)
 			return true
 		})
 	}
 	return routes
 }
 
-// isMux mirrors obscheck's notion of the package mux: a field or
-// variable named "mux".
+// isMux reports whether e denotes the package's request mux: a field
+// or variable named "mux" (s.mux, c.mux, or a local mux).
 func isMux(e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.SelectorExpr:
 		return x.Sel.Name == "mux"
 	case *ast.Ident:
 		return x.Name == "mux"
+	}
+	return false
+}
+
+// isWrapped reports whether the handler argument is a direct call to an
+// approved wrapper (method or function form).
+func isWrapped(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fn := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		return wrappers[fn.Sel.Name]
+	case *ast.Ident:
+		return wrappers[fn.Name]
 	}
 	return false
 }

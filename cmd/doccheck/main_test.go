@@ -132,9 +132,46 @@ func (helper) Close() error { return nil }
 	}
 }
 
-// TestRepoIsClean runs all three checks against the actual repository —
-// the same self-test obscheck performs, so the lint can never be
-// shipped in a state where it fails its own codebase.
+func TestSpanPolicyFlagsBareRegistration(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "internal/server/routes.go", `package server
+
+func register(s *Server) {
+	s.mux.Handle("GET /v1/x", s.instrument("x", s.handleX))
+	s.mux.HandleFunc("GET /v1/y", s.tracedLive("y", s.handleY))
+	s.mux.HandleFunc("GET /v1/z", s.handleZ) // the drift the check exists for
+}
+`)
+	write(t, root, "internal/cluster/empty.go", "package cluster\n")
+	var problems []string
+	checkSpanPolicy(root, reporter(&problems))
+	if len(problems) != 1 || !strings.Contains(problems[0], "GET /v1/z") {
+		t.Fatalf("problems = %v, want exactly the bare /v1/z registration", problems)
+	}
+}
+
+func TestSpanPolicyIgnoresTestsAndOtherMuxes(t *testing.T) {
+	root := t.TempDir()
+	// _test.go files and non-mux Handle calls (e.g. a debug mux built in
+	// main) are out of scope.
+	write(t, root, "internal/server/routes_test.go", `package server
+
+func setup(s *Server) { s.mux.HandleFunc("GET /t", s.handleT) }
+`)
+	write(t, root, "internal/cluster/other.go", `package cluster
+
+func debug(m *http.ServeMux) { m.HandleFunc("/debug/pprof/", pprofIndex) }
+`)
+	var problems []string
+	checkSpanPolicy(root, reporter(&problems))
+	if len(problems) != 0 {
+		t.Fatalf("problems = %v in out-of-scope files, want none", problems)
+	}
+}
+
+// TestRepoIsClean runs all four checks against the actual repository,
+// so the lint can never be shipped in a state where it fails its own
+// codebase.
 func TestRepoIsClean(t *testing.T) {
 	root := "../.."
 	var problems []string
@@ -142,7 +179,19 @@ func TestRepoIsClean(t *testing.T) {
 	checkRoutes(root, rep)
 	checkLinks(root, rep)
 	checkDocComments(root, rep)
+	checkSpanPolicy(root, rep)
 	if len(problems) > 0 {
 		t.Fatalf("doccheck fails against the repo:\n%s", strings.Join(problems, "\n"))
+	}
+}
+
+// TestSpanPolicyRepoIsClean runs the span-policy check alone against
+// the repo's own HTTP layers, so an unwrapped route is named by this
+// test rather than lost among the other checks' findings.
+func TestSpanPolicyRepoIsClean(t *testing.T) {
+	var problems []string
+	checkSpanPolicy("../..", reporter(&problems))
+	if len(problems) > 0 {
+		t.Fatalf("unwrapped route registrations:\n%s", strings.Join(problems, "\n"))
 	}
 }

@@ -79,9 +79,8 @@ func benchSweep(b *testing.B, hit bool) {
 		}
 	})
 	b.StopTimer()
-	st := s.Metrics().Snapshot()
-	if n := st.Counters["requests.sweep"]; n > 0 {
-		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "sweeps/sec")
+	if n := s.Metrics().Value("vcached_requests_total", "sweep"); n > 0 {
+		b.ReportMetric(n/b.Elapsed().Seconds(), "sweeps/sec")
 	}
 }
 

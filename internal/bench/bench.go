@@ -15,6 +15,8 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"primecache/internal/sim"
 )
 
 // SchemaVersion is the report format version; ReadReport rejects
@@ -60,12 +62,12 @@ type Result struct {
 // Report is the serialised form of one suite run — the content of a
 // BENCH_*.json file.
 type Report struct {
-	SchemaVersion int    `json:"schemaVersion"`
-	GitSHA        string `json:"gitSHA,omitempty"`
-	Date          string `json:"date,omitempty"`
-	GoVersion     string `json:"goVersion"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
+	SchemaVersion int      `json:"schemaVersion"`
+	GitSHA        string   `json:"gitSHA,omitempty"`
+	Date          string   `json:"date,omitempty"`
+	GoVersion     string   `json:"goVersion"`
+	GOOS          string   `json:"goos"`
+	GOARCH        string   `json:"goarch"`
 	Scenarios     []Result `json:"scenarios"`
 }
 
@@ -73,7 +75,11 @@ type Report struct {
 // size until one batch reaches opt.MinTime, reporting the final batch.
 // Allocation figures come from the runtime's memstats around the timed
 // batch, after a forced GC.
-func Measure(s Scenario, opt Options) (Result, error) {
+func Measure(s Scenario, opt Options) (Result, error) { return measure(s, opt, sim.Real) }
+
+// measure is Measure with the batch timer's clock injected, so tests
+// can drive the batching on virtual time.
+func measure(s Scenario, opt Options, clk sim.Clock) (Result, error) {
 	op, cleanup, err := s.Setup()
 	if err != nil {
 		return Result{}, err
@@ -88,13 +94,13 @@ func Measure(s Scenario, opt Options) (Result, error) {
 	for n := 1; ; n *= 2 {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		t0 := time.Now()
+		t0 := clk.Now()
 		for i := 0; i < n; i++ {
 			if err := op(); err != nil {
 				return Result{}, err
 			}
 		}
-		dt := time.Since(t0)
+		dt := clk.Since(t0)
 		runtime.ReadMemStats(&after)
 		if dt >= opt.MinTime || n >= 1<<30 {
 			r := Result{

@@ -7,26 +7,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"primecache/internal/sim"
 )
 
 // TestMeasureCountsIterations checks the runner's batching contract: one
 // untimed warm-up call, then doubling timed batches, reporting only the
-// final batch.
+// final batch. Each op advances a virtual clock by 100µs, so the batch
+// sizes are exact: 16 ops take 1.6ms, short of the 2ms window, and the
+// batch of 32 is the first to reach it.
 func TestMeasureCountsIterations(t *testing.T) {
+	clk := sim.NewVirtual()
 	calls := 0
 	s := Scenario{Name: "counter", Refs: 10, Setup: func() (func() error, func(), error) {
 		return func() error {
 			calls++
-			time.Sleep(100 * time.Microsecond)
+			clk.Advance(100 * time.Microsecond)
 			return nil
 		}, nil, nil
 	}}
-	r, err := Measure(s, Options{MinTime: 2 * time.Millisecond})
+	r, err := measure(s, Options{MinTime: 2 * time.Millisecond}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Iterations < 2 {
-		t.Errorf("iterations = %d, want ≥ 2 for a 100µs op over a 2ms window", r.Iterations)
+	if r.Iterations != 32 {
+		t.Errorf("iterations = %d, want 32 for a 100µs op over a 2ms window", r.Iterations)
 	}
 	// warm-up + 1 + 2 + … + final batch
 	want := 1
@@ -36,8 +41,8 @@ func TestMeasureCountsIterations(t *testing.T) {
 	if calls != want {
 		t.Errorf("op ran %d times, want %d (warm-up plus doubling batches up to %d)", calls, want, r.Iterations)
 	}
-	if r.NsPerOp <= 0 {
-		t.Errorf("NsPerOp = %v, want > 0", r.NsPerOp)
+	if r.NsPerOp != 100_000 {
+		t.Errorf("NsPerOp = %v, want 100000", r.NsPerOp)
 	}
 	if r.RefsPerSec <= 0 {
 		t.Errorf("RefsPerSec = %v, want > 0 for Refs=10", r.RefsPerSec)

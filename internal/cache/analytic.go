@@ -54,7 +54,7 @@ func stridedSweepPasses(spec Spec, startWord uint64, strideWords int64, n, strea
 	if !ok || n < 1 || strideWords == 0 {
 		return Stats{}, Stats{}, false
 	}
-	if !stridedAddrsSafe(startWord, strideWords, n) {
+	if !StridedAddrsSafe(startWord, strideWords, n) {
 		return Stats{}, Stats{}, false
 	}
 	C := int64(sets)
@@ -141,12 +141,15 @@ func analyticSets(spec Spec) (int, bool) {
 	}
 }
 
-// stridedAddrsSafe reports whether every address of the sweep keeps
-// trace.Strided's int64 accumulator within [0, 2^63), where uint64
-// conversion is the identity and set residues step uniformly. For a
-// prime modulus this matters because 2^64 is not ≡ 0 (mod 2^c − 1): a
-// wrap of the accumulator would shift every subsequent residue.
-func stridedAddrsSafe(startWord uint64, strideWords int64, n int) bool {
+// StridedAddrsSafe reports whether every word address of an n-element
+// strided walk stays within [0, 2^62), where the int64 accumulator of
+// trace.Strided and of the vector load path converts to uint64 as the
+// identity and set residues step uniformly. It is the one address-range
+// rule for strided walks: request validation, the vector load path and
+// the closed form all apply it. For a prime modulus it matters because
+// 2^64 is not ≡ 0 (mod 2^c − 1): a walk that wraps below word 0 would
+// shift every subsequent residue.
+func StridedAddrsSafe(startWord uint64, strideWords int64, n int) bool {
 	const lim = int64(1) << 62
 	if startWord >= uint64(lim) {
 		return false

@@ -232,8 +232,8 @@ func TestRetryRecoversFromFlakyBackend(t *testing.T) {
 	if res.Stats.Accesses == 0 {
 		t.Error("empty stats from recovered request")
 	}
-	if shed := s.Metrics().Counter("admission.shed").Value(); shed != 2 {
-		t.Errorf("backend shed %d requests, want 2", shed)
+	if shed := s.Metrics().Value("vcached_admission_shed_total"); shed != 2 {
+		t.Errorf("backend shed %v requests, want 2", shed)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestRetryBudgetExhaustedAgainstFlakyBackend(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Code != server.CodeOverloaded {
 		t.Fatalf("err = %v, want typed overloaded error", err)
 	}
-	if shed := s.Metrics().Counter("admission.shed").Value(); shed != 3 {
-		t.Errorf("backend saw %d attempts, want 3 (initial + 2 retries)", shed)
+	if shed := s.Metrics().Value("vcached_admission_shed_total"); shed != 3 {
+		t.Errorf("backend saw %v attempts, want 3 (initial + 2 retries)", shed)
 	}
 }
 

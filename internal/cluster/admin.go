@@ -120,6 +120,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	})
 
 	c.memberMu.Lock()
+	c.bindBackend(joiner)
 	c.backends[req.URL] = joiner
 	c.ring = newRing
 	c.ringVersion++
@@ -200,6 +201,7 @@ func (c *Coordinator) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 	c.ring = newRing
 	c.ringVersion++
 	version := c.ringVersion
+	c.unbindBackend(target)
 	c.memberMu.Unlock()
 
 	drained := c.quiesce(ctx, leaver)

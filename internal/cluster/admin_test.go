@@ -157,7 +157,7 @@ func TestAdminJoinMigratesWarmState(t *testing.T) {
 		t.Fatal("joiner missing from the swapped ring")
 	}
 	probed := 0
-	pool0 := joinSrv.Metrics().Counter("pool.completed").Value()
+	pool0 := joinSrv.Metrics().Value("vcached_pool_completed_total")
 	jcl := client.New(joinTS.URL, client.WithRetries(0))
 	defer jcl.Close()
 	for key, req := range jobByKey {
@@ -179,8 +179,8 @@ func TestAdminJoinMigratesWarmState(t *testing.T) {
 	if probed == 0 {
 		t.Fatal("joiner captured none of the warmed keys; distribution tests should make this impossible")
 	}
-	if pool1 := joinSrv.Metrics().Counter("pool.completed").Value(); pool1 != pool0 {
-		t.Errorf("joiner burned %d pool jobs answering migrated keys, want 0", pool1-pool0)
+	if pool1 := joinSrv.Metrics().Value("vcached_pool_completed_total"); pool1 != pool0 {
+		t.Errorf("joiner burned %v pool jobs answering migrated keys, want 0", pool1-pool0)
 	}
 }
 

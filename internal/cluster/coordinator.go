@@ -103,14 +103,14 @@ func (o Options) withDefaults() Options {
 }
 
 // backendState is one backend as the coordinator sees it: its client
-// plus the gauges /v1/stats reports.
+// plus its registry children, which /v1/stats and /metrics both read.
 type backendState struct {
 	url      string
 	client   *client.Client
-	requests server.Counter
-	failures server.Counter
-	inflight server.Gauge
-	latency  server.Histogram
+	requests *obs.Counter
+	failures *obs.Counter
+	inflight *obs.Gauge
+	latency  *obs.Histogram
 }
 
 // Coordinator fronts a set of vcached backends: it routes /v1/simulate
@@ -124,6 +124,7 @@ type Coordinator struct {
 	tracer *obs.Tracer
 	health *health
 	mux    *http.ServeMux
+	reg    *obs.Registry
 
 	// Membership. The ring is copy-on-write: a membership change builds
 	// a whole new Ring and swaps the pointer under memberMu, so a
@@ -139,18 +140,17 @@ type Coordinator struct {
 
 	// Admission valve: nil when disabled.
 	slots chan struct{}
-	shed  server.Counter
 
-	hedges   server.Counter
-	reroutes server.Counter
-	requests server.Counter
-
-	// Membership-change counters, surfaced in /v1/stats and /metrics.
-	joins           server.Counter
-	leaves          server.Counter
-	migratedKeys    server.Counter
-	migratedBytes   server.Counter
-	migrationErrors server.Counter
+	// Registry children (see registerMetrics), read by /v1/stats and
+	// exposed by /metrics.
+	shed, hedges, reroutes, requests *obs.Counter
+	// Membership-change counters.
+	joins, leaves, migratedKeys, migratedBytes, migrationErrors *obs.Counter
+	// Per-backend families; a backend's children exist while it is on
+	// the ring.
+	backendRequests, backendFailures *obs.Vec[obs.Counter]
+	backendInflight                  *obs.Vec[obs.Gauge]
+	backendLatency                   *obs.Vec[obs.Histogram]
 }
 
 // New builds a Coordinator over opts.Backends and runs one synchronous
@@ -169,10 +169,14 @@ func New(opts Options) (*Coordinator, error) {
 		ring:     ring,
 		backends: make(map[string]*backendState, len(opts.Backends)),
 		mux:      http.NewServeMux(),
+		reg:      obs.NewRegistry(),
 	}
+	c.registerMetrics()
 	for _, u := range opts.Backends {
 		copts := append([]client.Option{client.WithRetries(0)}, opts.ClientOptions...)
-		c.backends[u] = &backendState{url: u, client: client.New(u, copts...)}
+		b := &backendState{url: u, client: client.New(u, copts...)}
+		c.bindBackend(b)
+		c.backends[u] = b
 	}
 	if opts.MaxInflight > 0 {
 		c.slots = make(chan struct{}, opts.MaxInflight)
@@ -189,7 +193,7 @@ func New(opts Options) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /v1/healthz", c.tracedLive("healthz", c.handleHealthz))
 	c.mux.HandleFunc("GET /v1/readyz", c.tracedLive("readyz", c.handleReadyz))
 	c.mux.HandleFunc("GET /v1/stats", c.tracedLive("stats", c.handleStats))
-	c.mux.HandleFunc("GET /metrics", c.tracedLive("metrics", c.handleMetrics))
+	c.mux.HandleFunc("GET /metrics", c.tracedLive("metrics", c.reg.ServeHTTP))
 	c.mux.HandleFunc("GET /v1/debug/traces", c.tracedLive("traces", c.handleTraces))
 	c.mux.HandleFunc("GET /v1/admin/backends", c.tracedLive("admin.list", c.requireAdmin(c.handleAdminList)))
 	c.mux.HandleFunc("POST /v1/admin/backends", c.traced("admin.join", c.requireAdmin(c.handleAdminJoin)))
@@ -223,7 +227,7 @@ func (c *Coordinator) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 // untraced: scrapes and health probes arrive every few seconds and
 // would churn the ring with single-span traces. The wrapper exists so
 // every route registration goes through a span-policy wrapper, which
-// the obscheck lint enforces.
+// the doccheck lint enforces.
 func (c *Coordinator) tracedLive(_ string, h http.HandlerFunc) http.HandlerFunc {
 	return h
 }
@@ -681,8 +685,8 @@ type BackendStats struct {
 	Inflight int64  `json:"inflight"`
 	// P95Us is the observed 95th-percentile latency upper bound (µs) —
 	// the quantity hedge delays are priced from.
-	P95Us   int64                    `json:"p95Us"`
-	Latency server.HistogramSnapshot `json:"latency"`
+	P95Us   int64                 `json:"p95Us"`
+	Latency obs.HistogramSnapshot `json:"latency"`
 }
 
 // StatsResponse is the coordinator's /v1/stats body. Schema 2 shapes
@@ -712,16 +716,10 @@ type StatsResponse struct {
 	// Admission is the coordinator's own valve, in front of the
 	// backends' per-node admission control; Degraded sums the backends'
 	// degraded-answer counters (the coordinator itself never degrades).
-	Admission struct {
-		Capacity int     `json:"capacity"`
-		Queued   int     `json:"queued"`
-		Shed     uint64  `json:"shed"`
-		Degraded uint64  `json:"degraded"`
-		Pressure float64 `json:"pressure"`
-	} `json:"admission"`
-	Requests uint64 `json:"requests"`
-	Hedges   uint64 `json:"hedges"`
-	Reroutes uint64 `json:"reroutes"`
+	Admission server.AdmissionBlock `json:"admission"`
+	Requests  uint64                `json:"requests"`
+	Hedges    uint64                `json:"hedges"`
+	Reroutes  uint64                `json:"reroutes"`
 	// Membership counts completed membership changes and the warm-state
 	// records they moved.
 	Membership struct {
@@ -816,7 +814,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Memo, resp.Persist, resp.Partial, resp.Admission.Degraded = c.aggregateBackendStats(r.Context())
 	if c.slots != nil {
 		resp.Admission.Capacity = cap(c.slots)
-		resp.Admission.Queued = len(c.slots)
+		resp.Admission.Queued = int64(len(c.slots))
 	}
 	resp.Admission.Shed = c.shed.Value()
 	resp.Admission.Pressure = c.pressure()
@@ -847,4 +845,14 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	server.SetDeprecationHeaders(w.Header().Set)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleTraces serves the finished-trace ring; a structured not_found
+// envelope when the coordinator was built without a tracer.
+func (c *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
+	if c.tracer == nil {
+		writeErr(w, server.Errf(server.CodeNotFound, "tracing is not enabled on this coordinator"))
+		return
+	}
+	c.tracer.TracesHandler().ServeHTTP(w, r)
 }

@@ -16,7 +16,7 @@ type tracesResponse struct {
 // ({"error":{"code","message"}}). The shape is duplicated here rather
 // than imported: obs sits below the server package, which already
 // imports obs for spans. The codes used ("invalid_request",
-// "not_found") are members of the server's ErrorCode contract.
+// "not_found", "internal") are members of the server's ErrorCode contract.
 func writeHandlerError(w http.ResponseWriter, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

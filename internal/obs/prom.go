@@ -73,28 +73,6 @@ type Family struct {
 var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 var labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
-// MetricName sanitizes an internal registry name ("latency.pool") into
-// the Prometheus charset ("latency_pool"): every character outside
-// [a-zA-Z0-9_:] becomes '_', and a leading digit gets a '_' prefix.
-func MetricName(name string) string {
-	var b strings.Builder
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-			b.WriteByte(c)
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				b.WriteByte('_')
-			}
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
 // escapeLabel applies the exposition-format label-value escapes.
 func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)

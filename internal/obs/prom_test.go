@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestMetricName(t *testing.T) {
-	cases := map[string]string{
-		"latency.pool":      "latency_pool",
-		"requests":          "requests",
-		"9lives":            "_9lives",
-		"a-b c/d":           "a_b_c_d",
-		"already_fine:name": "already_fine:name",
-	}
-	for in, want := range cases {
-		if got := MetricName(in); got != want {
-			t.Errorf("MetricName(%q) = %q, want %q", in, got, want)
-		}
-	}
-	for in := range cases {
-		if !nameRe.MatchString(MetricName(in)) {
-			t.Errorf("MetricName(%q) not a valid metric name", in)
-		}
-	}
-}
-
 func sampleFamilies() []Family {
 	return []Family{
 		{

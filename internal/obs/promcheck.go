@@ -25,6 +25,14 @@ type promSample struct {
 // through it so the exposition can never drift into something a
 // scraper would reject.
 func CheckExposition(data []byte) error {
+	_, err := ParseSamples(data)
+	return err
+}
+
+// ParseSamples validates a payload as CheckExposition does and returns
+// its sample values keyed by series: the sample name followed by its
+// labels as exposed, e.g. vcached_requests_total{endpoint="simulate"}.
+func ParseSamples(data []byte) (map[string]float64, error) {
 	types := map[string]string{} // family -> type
 	var samples []promSample
 	for i, raw := range strings.Split(string(data), "\n") {
@@ -35,13 +43,13 @@ func CheckExposition(data []byte) error {
 		}
 		if strings.HasPrefix(s, "#") {
 			if err := checkComment(s, line, types); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		ps, err := parseSample(s, line)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		samples = append(samples, ps)
 	}
@@ -52,10 +60,17 @@ func CheckExposition(data []byte) error {
 			family = base
 		}
 		if _, ok := types[family]; !ok {
-			return fmt.Errorf("prom: line %d: sample %s has no preceding # TYPE line", ps.line, ps.name)
+			return nil, fmt.Errorf("prom: line %d: sample %s has no preceding # TYPE line", ps.line, ps.name)
 		}
 	}
-	return checkHistograms(samples, types)
+	if err := checkHistograms(samples, types); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(samples))
+	for _, ps := range samples {
+		out[ps.name+labelString(ps.labels)] = ps.value
+	}
+	return out, nil
 }
 
 func checkComment(s string, line int, types map[string]string) error {

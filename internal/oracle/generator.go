@@ -76,6 +76,12 @@ func (g *Gen) Pattern() trace.Pattern {
 			p.Stride = 1
 		}
 		p.N = 1 + g.rng.Intn(512)
+		if p.Stride < 0 {
+			// A descending walk must stop at or above word 0; clamping
+			// n to the longest such walk often ends it right at the
+			// edge of the address range.
+			p.N = min(p.N, int(p.Start/uint64(-p.Stride))+1)
+		}
 	case "diagonal":
 		p.LD = 1 + g.rng.Intn(700)
 		p.N = 1 + g.rng.Intn(512)

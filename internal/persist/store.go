@@ -90,36 +90,36 @@ type Store struct {
 	broken bool
 	closed bool
 
-	hits         atomic.Uint64
-	misses       atomic.Uint64
+	hits          atomic.Uint64
+	misses        atomic.Uint64
 	bytesAppended atomic.Uint64
-	segsCreated  atomic.Uint64
-	compactions  atomic.Uint64
-	corrupt      atomic.Uint64
-	torn         atomic.Uint64
-	ioErrors     atomic.Uint64
-	evictedKeys  atomic.Uint64
-	restoredSnap atomic.Bool
+	segsCreated   atomic.Uint64
+	compactions   atomic.Uint64
+	corrupt       atomic.Uint64
+	torn          atomic.Uint64
+	ioErrors      atomic.Uint64
+	evictedKeys   atomic.Uint64
+	restoredSnap  atomic.Bool
 }
 
 // Stats is a point-in-time snapshot of the store's counters and shape,
 // surfaced through /v1/stats and the vcached_persist_* Prometheus
 // families.
 type Stats struct {
-	Keys           int    `json:"keys"`
-	Segments       int    `json:"segments"`
-	DiskBytes      int64  `json:"diskBytes"`
-	DeadBytes      int64  `json:"deadBytes"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	BytesAppended  uint64 `json:"bytesAppended"`
+	Keys            int    `json:"keys"`
+	Segments        int    `json:"segments"`
+	DiskBytes       int64  `json:"diskBytes"`
+	DeadBytes       int64  `json:"deadBytes"`
+	Hits            uint64 `json:"hits"`
+	Misses          uint64 `json:"misses"`
+	BytesAppended   uint64 `json:"bytesAppended"`
 	SegmentsCreated uint64 `json:"segmentsCreated"`
-	Compactions    uint64 `json:"compactions"`
-	CorruptRecords uint64 `json:"corruptRecords"`
+	Compactions     uint64 `json:"compactions"`
+	CorruptRecords  uint64 `json:"corruptRecords"`
 	TornTruncations uint64 `json:"tornTruncations"`
-	IOErrors       uint64 `json:"ioErrors"`
-	EvictedKeys    uint64 `json:"evictedKeys"`
-	SnapshotRestore bool  `json:"snapshotRestore"`
+	IOErrors        uint64 `json:"ioErrors"`
+	EvictedKeys     uint64 `json:"evictedKeys"`
+	SnapshotRestore bool   `json:"snapshotRestore"`
 }
 
 // Open recovers the store in dir: leftover temp files are discarded,

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"primecache/internal/obs"
 	"primecache/internal/sim"
 )
 
@@ -20,21 +21,21 @@ type admission struct {
 	slots    chan struct{}
 	endpoint map[string]chan struct{}
 
-	queued *Gauge
-	shed   *Counter
+	queued *obs.Gauge
+	shed   *obs.Counter
 }
 
 // newAdmission builds the valve: capacity slots globally, perEndpoint
 // slots for each named endpoint (perEndpoint >= capacity disables the
 // per-endpoint level in practice).
-func newAdmission(capacity, perEndpoint int, endpoints []string, m *Metrics) *admission {
+func newAdmission(capacity, perEndpoint int, endpoints []string, reg *obs.Registry) *admission {
 	a := &admission{
 		slots:    make(chan struct{}, capacity),
 		endpoint: make(map[string]chan struct{}, len(endpoints)),
-		queued:   m.Gauge("admission.queued"),
-		shed:     m.Counter("admission.shed"),
+		queued:   reg.Gauge("vcached_admission_queued", "Gauge admission.queued."),
+		shed:     reg.Counter("vcached_admission_shed_total", "Monotonic counter admission.shed."),
 	}
-	m.Gauge("admission.capacity").Set(int64(capacity))
+	reg.Gauge("vcached_admission_capacity", "Gauge admission.capacity.").Set(int64(capacity))
 	for _, e := range endpoints {
 		a.endpoint[e] = make(chan struct{}, perEndpoint)
 	}

@@ -6,7 +6,8 @@
 //	POST /v1/model     — evaluate the MM/CC analytic models at one operating point
 //	POST /v1/sweep     — a batch of simulate/model jobs fanned out over a worker pool
 //	GET  /v1/healthz   — liveness
-//	GET  /v1/stats     — metrics registry, memoizer and worker-pool counters
+//	GET  /v1/stats     — memoizer, persist, admission and worker-pool counters
+//	GET  /metrics      — the same counters, plus per-endpoint request families
 //
 // Identical requests are computed once (an LRU memoizer keyed on the
 // canonical form of the request), work is bounded by a GOMAXPROCS-sized

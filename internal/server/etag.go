@@ -55,7 +55,7 @@ func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, key st
 	if etag, ok := resultETag(key, payload); ok {
 		w.Header().Set("ETag", etag)
 		if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
-			s.metrics.Counter("etag.notModified").Inc()
+			s.m.notModified.Inc()
 			w.Header().Set(MemoizedHeader, strconv.FormatBool(memoized))
 			w.WriteHeader(http.StatusNotModified)
 			return

@@ -74,8 +74,8 @@ func TestMetricsGolden(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics status = %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Content-Type"); got != promContentType {
-		t.Fatalf("/metrics content type = %q, want %q", got, promContentType)
+	if got := resp.Header.Get("Content-Type"); got != obs.PromContentType {
+		t.Fatalf("/metrics content type = %q, want %q", got, obs.PromContentType)
 	}
 	if err := obs.CheckExposition(body); err != nil {
 		t.Fatalf("/metrics is not valid Prometheus text format: %v", err)
@@ -135,11 +135,11 @@ func TestTracesEndpointWithoutTracer(t *testing.T) {
 // (the check that catches rank truncation: 9 fast + 10 slow
 // observations at q=0.5 must report a slow bucket).
 func TestQuantileMatchesCumulativeLadder(t *testing.T) {
-	overflowSentinel := histBuckets[len(histBuckets)-1] * 316 / 100
+	overflowSentinel := topEdgeUs() * 316 / 100
 	quantiles := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
 	for seed := 0; seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		var h Histogram
+		var h obs.Histogram
 		n := 1 + rng.Intn(200)
 		obsUs := make([]int64, n)
 		for i := range obsUs {

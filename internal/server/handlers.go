@@ -80,6 +80,16 @@ func (s *Server) computeJob(ctx context.Context, job SweepJob, degrade bool) (re
 		s.callMu.Lock()
 		c, joined := s.calls[key]
 		if !joined {
+			// A leader may have published and retired its call between
+			// our memo miss and here; its result is in the memo by now
+			// (Put happens before the call is deleted). Check without
+			// touching the counters, then go round again: the lookup at
+			// the top serves the value and counts the hit, as a joiner's
+			// re-read does.
+			if _, ok := s.memo.Peek(key); ok {
+				s.callMu.Unlock()
+				continue
+			}
 			c = &inflightCall{done: make(chan struct{})}
 			s.calls[key] = c
 		}
@@ -159,7 +169,7 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 		case job.Simulate != nil:
 			resp, err := runSimulate(ctx, *job.Simulate, evalOpts{degrade: degrade})
 			if err == nil && resp.Degraded {
-				s.metrics.Counter("admission.degraded").Inc()
+				s.m.degraded.Inc()
 			}
 			return resp, err
 		case job.Model != nil:
@@ -170,8 +180,8 @@ func (s *Server) compute(ctx context.Context, job SweepJob, degrade bool) (any, 
 	})
 	var pe *PartialError
 	if errors.As(err, &pe) {
-		s.metrics.Counter("compute.cancelledJobs").Inc()
-		s.metrics.Counter("compute.partialRefs").Add(pe.Refs)
+		s.m.cancelledJobs.Inc()
+		s.m.partialRefs.Add(pe.Refs)
 	}
 	return v, err
 }
@@ -341,8 +351,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // StatsResponse is the /v1/stats body, schema 2: the memo, persist,
 // admission, and partial blocks are shaped identically to the
-// coordinator's (see StatsV2); pool and metrics are this tier's
-// extras. The block shapes are wire-compatible with schema 1 — the
+// coordinator's (see StatsV2); pool is this tier's extra. Every
+// counter here is read from the same registry child /metrics
+// exposes. The block shapes are wire-compatible with schema 1 — the
 // Deprecation/Sunset headers on the endpoint refer to the un-versioned
 // schema-1 layout as a whole.
 type StatsResponse struct {
@@ -361,26 +372,36 @@ type StatsResponse struct {
 	// Partial accounts work burned by jobs that were cancelled or timed
 	// out mid-simulation: how many jobs stopped early and how many
 	// references they had completed when they stopped.
-	Partial PartialBlock   `json:"partial"`
-	Metrics MetricsSnapshot `json:"metrics"`
+	Partial PartialBlock `json:"partial"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var resp StatsResponse
 	resp.Schema = StatsSchemaVersion
-	resp.Memo = memoBlock(s.memo.Stats())
-	resp.Persist = persistBlock(s.persist)
+	resp.Memo = s.memo.Stats()
+	if s.persist != nil {
+		resp.Persist = PersistBlock{Enabled: true, Stats: s.persist.Stats()}
+	}
 	resp.Pool.Workers = s.pool.Size()
-	resp.Pool.Busy = s.metrics.Gauge("pool.busy").Value()
-	resp.Pool.Queued = s.metrics.Gauge("pool.queued").Value()
+	resp.Pool.Busy = s.pool.busy.Value()
+	resp.Pool.Queued = s.pool.queued.Value()
 	resp.Admission.Capacity = s.admit.capacity()
-	resp.Admission.Queued = s.metrics.Gauge("admission.queued").Value()
-	resp.Admission.Shed = s.metrics.Counter("admission.shed").Value()
-	resp.Admission.Degraded = s.metrics.Counter("admission.degraded").Value()
+	resp.Admission.Queued = s.admit.queued.Value()
+	resp.Admission.Shed = s.admit.shed.Value()
+	resp.Admission.Degraded = s.m.degraded.Value()
 	resp.Admission.Pressure = s.admit.pressure()
-	resp.Partial.CancelledJobs = s.metrics.Counter("compute.cancelledJobs").Value()
-	resp.Partial.RefsCompleted = s.metrics.Counter("compute.partialRefs").Value()
-	resp.Metrics = s.metrics.Snapshot()
+	resp.Partial.CancelledJobs = s.m.cancelledJobs.Value()
+	resp.Partial.RefsCompleted = s.m.partialRefs.Value()
 	SetDeprecationHeaders(w.Header().Set)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleTraces serves the finished-trace ring; a structured not_found
+// envelope when the server was built without a tracer.
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	if s.tracer == nil {
+		writeError(w, Errf(CodeNotFound, "tracing is not enabled on this server"))
+		return
+	}
+	s.tracer.TracesHandler().ServeHTTP(w, r)
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"container/list"
 	"sync"
+
+	"primecache/internal/obs"
 )
 
 // Memo is a bounded LRU memoization cache from canonical request keys to
@@ -20,9 +22,9 @@ type Memo struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 
-	hits      Counter
-	misses    Counter
-	evictions Counter
+	hits      obs.Counter
+	misses    obs.Counter
+	evictions obs.Counter
 }
 
 type memoEntry struct {
@@ -58,6 +60,17 @@ func (m *Memo) Get(key string) (any, bool) {
 	return el.Value.(*memoEntry).value, true
 }
 
+// Peek is Get without the bookkeeping: it neither counts toward the
+// hit/miss stats nor refreshes the entry's recency.
+func (m *Memo) Peek(key string) (any, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[key]; ok {
+		return el.Value.(*memoEntry).value, true
+	}
+	return nil, false
+}
+
 // Put stores value under key, evicting the least-recently-used entry when
 // full.
 func (m *Memo) Put(key string, value any) {
@@ -87,31 +100,17 @@ func (m *Memo) Len() int {
 	return m.order.Len()
 }
 
-// MemoStats reports the memo's counters.
-type MemoStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Memo) Stats() MemoStats {
-	return MemoStats{
+// Stats returns a snapshot of the counters as the /v1/stats memo block.
+func (m *Memo) Stats() MemoBlock {
+	st := MemoBlock{
 		Hits:      m.hits.Value(),
 		Misses:    m.misses.Value(),
 		Evictions: m.evictions.Value(),
 		Entries:   m.Len(),
 		Capacity:  m.cap,
 	}
-}
-
-// HitRatio returns hits/(hits+misses), 0 before any lookup.
-func (s MemoStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
+	if total := st.Hits + st.Misses; total > 0 {
+		st.HitRatio = float64(st.Hits) / float64(total)
 	}
-	return float64(s.Hits) / float64(total)
+	return st
 }

@@ -1,260 +1,77 @@
 package server
 
 import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"primecache/internal/sim"
+	"primecache/internal/obs"
+	"primecache/internal/persist"
 )
 
-// Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Uint64 }
+// serverMetrics are the server's registry children, resolved once in
+// New so that no event looks a metric up by name. The pool and the
+// admission valve register and hold their own.
+type serverMetrics struct {
+	requests, errors *obs.Vec[obs.Counter]
+	latency          *obs.Vec[obs.Histogram]
+	inflight         *obs.Gauge
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+	degraded, cancelledJobs, partialRefs, notModified *obs.Counter
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down (worker-pool occupancy,
-// in-flight requests).
-type Gauge struct{ v atomic.Int64 }
-
-// Inc increments the gauge.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec decrements the gauge.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set stores an absolute value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// histBuckets are the latency histogram upper bounds in microseconds,
-// log-spaced from 100µs to ~10s plus an overflow bucket.
-var histBuckets = [numHistBuckets]int64{
-	100, 316, 1_000, 3_160, 10_000, 31_600,
-	100_000, 316_000, 1_000_000, 3_160_000, 10_000_000,
+	// Disk-tier counters; nil when the server runs memory-only, so its
+	// exposition never mentions the persist families.
+	decodeErrors, storeErrors   *obs.Counter
+	exportErrors, importErrors  *obs.Counter
+	exportedKeys, exportedBytes *obs.Counter
+	importedKeys, importedBytes *obs.Counter
 }
 
-const numHistBuckets = 11
-
-// Histogram accumulates request latencies into fixed log-spaced buckets.
-// All methods are safe for concurrent use.
-type Histogram struct {
-	buckets [numHistBuckets + 1]atomic.Uint64
-	count   atomic.Uint64
-	sumUs   atomic.Int64
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	us := d.Microseconds()
-	h.count.Add(1)
-	h.sumUs.Add(us)
-	i := sort.Search(len(histBuckets), func(i int) bool { return us <= histBuckets[i] })
-	h.buckets[i].Add(1)
-}
-
-// HistogramSnapshot is the JSON form of a Histogram.
-type HistogramSnapshot struct {
-	// Count is the number of observations; MeanUs their mean in
-	// microseconds and SumUs their total.
-	Count  uint64  `json:"count"`
-	MeanUs float64 `json:"meanUs"`
-	SumUs  int64   `json:"sumUs"`
-	// Buckets maps each upper bound (µs; the last is an overflow
-	// bucket reported as upperUs = -1) to its observation count.
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// HistogramBucket is one histogram bin.
-type HistogramBucket struct {
-	UpperUs int64  `json:"upperUs"`
-	Count   uint64 `json:"count"`
-}
-
-// QuantileUs returns an upper bound (in microseconds) on the q-quantile
-// of the observed latencies: the upper edge of the first bucket whose
-// cumulative count reaches q·total. The log-spaced buckets make this a
-// within-3.16× estimate — plenty for pricing hedge delays and retry
-// hints. Observations in the overflow bucket report the top edge times
-// its spacing factor; an empty histogram reports 0.
-func (s HistogramSnapshot) QuantileUs(q float64) int64 {
-	if s.Count == 0 {
-		return 0
+// registerMetrics registers the server's own families on s.reg: the
+// per-endpoint request families, the event counters, and read
+// functions over the memo, the persist tier and the uptime clock.
+func (s *Server) registerMetrics() {
+	reg := s.reg
+	s.m = serverMetrics{
+		requests:      reg.CounterVec("vcached_requests_total", "Requests received, by endpoint.", "endpoint"),
+		errors:        reg.CounterVec("vcached_errors_total", "Requests answered with an error status, by endpoint.", "endpoint"),
+		latency:       reg.HistogramVec("vcached_request_seconds", "Request latency by endpoint in seconds.", "endpoint"),
+		inflight:      reg.Gauge("vcached_inflight", "Gauge inflight."),
+		degraded:      reg.EventCounter("vcached_admission_degraded_total", "Monotonic counter admission.degraded."),
+		cancelledJobs: reg.EventCounter("vcached_compute_cancelledJobs_total", "Monotonic counter compute.cancelledJobs."),
+		partialRefs:   reg.EventCounter("vcached_compute_partialRefs_total", "Monotonic counter compute.partialRefs."),
+		notModified:   reg.EventCounter("vcached_etag_notModified_total", "Monotonic counter etag.notModified."),
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	// The q-quantile is the ceil(q·count)-th observation: truncating
-	// here used to under-rank (9 fast + 10 slow observations at q=0.5
-	// needs the 10th — truncation asked for the 9th and reported the
-	// fast bucket even though the median observation is slow).
-	need := uint64(math.Ceil(q * float64(s.Count)))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= need {
-			if b.UpperUs < 0 {
-				// Overflow bucket: everything above the last finite edge.
-				return histBuckets[len(histBuckets)-1] * 316 / 100
-			}
-			return b.UpperUs
-		}
-	}
-	return histBuckets[len(histBuckets)-1]
-}
-
-// Cumulative re-derives the full Prometheus-style bucket ladder from a
-// sparse snapshot: every finite upper bound in microseconds (ascending)
-// plus a final implicit +Inf entry, each with the cumulative count of
-// observations at or below it. Zero buckets the sparse snapshot omitted
-// reappear here carrying the running total, so the ladder is always
-// complete and non-decreasing — the exposition layer and its property
-// tests both lean on that.
-func (s HistogramSnapshot) Cumulative() (uppersUs []int64, cum []uint64) {
-	uppersUs = make([]int64, len(histBuckets))
-	copy(uppersUs, histBuckets[:])
-	cum = make([]uint64, len(histBuckets)+1)
-	sparse := make(map[int64]uint64, len(s.Buckets))
-	for _, b := range s.Buckets {
-		sparse[b.UpperUs] = b.Count
-	}
-	var running uint64
-	for i, upper := range uppersUs {
-		running += sparse[upper]
-		cum[i] = running
-	}
-	cum[len(histBuckets)] = running + sparse[-1] // overflow joins +Inf
-	return uppersUs, cum
-}
-
-// Snapshot returns a consistent-enough copy for reporting (buckets are
-// read individually; concurrent observations may straddle the read).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), SumUs: h.sumUs.Load()}
-	if s.Count > 0 {
-		s.MeanUs = float64(s.SumUs) / float64(s.Count)
-	}
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		upper := int64(-1)
-		if i < len(histBuckets) {
-			upper = histBuckets[i]
-		}
-		s.Buckets = append(s.Buckets, HistogramBucket{UpperUs: upper, Count: n})
-	}
-	return s
-}
-
-// Metrics is the server's hand-rolled metric registry: named counters,
-// gauges, and latency histograms, rendered as one JSON object by the
-// /v1/stats endpoint. Metric creation is lazy and idempotent; lookups
-// after creation are lock-free on the metric itself.
-type Metrics struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	clock      sim.Clock
-	start      time.Time
-}
-
-// NewMetrics returns an empty registry on the real clock.
-func NewMetrics() *Metrics { return NewMetricsOn(sim.Real) }
-
-// NewMetricsOn returns an empty registry whose uptime is measured on
-// clk (virtual in simulation tests).
-func NewMetricsOn(clk sim.Clock) *Metrics {
-	clk = sim.Or(clk)
-	return &Metrics{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-		clock:      clk,
-		start:      clk.Now(),
+	reg.CounterFunc("vcached_memo_hits_total", "Memoizer hits.", func() float64 { return float64(s.memo.hits.Value()) })
+	reg.CounterFunc("vcached_memo_misses_total", "Memoizer misses.", func() float64 { return float64(s.memo.misses.Value()) })
+	reg.CounterFunc("vcached_memo_evictions_total", "Memoizer LRU evictions.", func() float64 { return float64(s.memo.evictions.Value()) })
+	reg.GaugeFunc("vcached_memo_entries", "Memoizer resident entries.", func() float64 { return float64(s.memo.Len()) })
+	reg.GaugeFunc("vcached_memo_capacity", "Memoizer capacity (0 when disabled).", func() float64 { return float64(s.memo.cap) })
+	start := s.clock.Now()
+	reg.GaugeFunc("vcached_uptime_seconds", "Seconds since the metrics registry was created.", func() float64 { return s.clock.Since(start).Seconds() })
+	if s.persist != nil {
+		s.registerPersistMetrics(s.persist)
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (m *Metrics) Counter(name string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.counters[name]
-	if !ok {
-		c = &Counter{}
-		m.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (m *Metrics) Gauge(name string) *Gauge {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		m.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		m.histograms[name] = h
-	}
-	return h
-}
-
-// MetricsSnapshot is the JSON form of the whole registry.
-type MetricsSnapshot struct {
-	UptimeSeconds float64                      `json:"uptimeSeconds"`
-	Counters      map[string]uint64            `json:"counters"`
-	Gauges        map[string]int64             `json:"gauges"`
-	Latencies     map[string]HistogramSnapshot `json:"latencies"`
-}
-
-// Snapshot renders every registered metric.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := MetricsSnapshot{
-		UptimeSeconds: m.clock.Since(m.start).Seconds(),
-		Counters:      make(map[string]uint64, len(m.counters)),
-		Gauges:        make(map[string]int64, len(m.gauges)),
-		Latencies:     make(map[string]HistogramSnapshot, len(m.histograms)),
-	}
-	for name, c := range m.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range m.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range m.histograms {
-		s.Latencies[name] = h.Snapshot()
-	}
-	return s
+// registerPersistMetrics adds the vcached_persist_* families: the disk
+// tier's own stats, read at scrape time, and the server's counters for
+// what the tier failed to decode or store and what migration moved.
+func (s *Server) registerPersistMetrics(p *persist.Store) {
+	reg := s.reg
+	reg.CounterFunc("vcached_persist_hits_total", "Persist-tier lookup hits.", func() float64 { return float64(p.Stats().Hits) })
+	reg.CounterFunc("vcached_persist_misses_total", "Persist-tier lookup misses.", func() float64 { return float64(p.Stats().Misses) })
+	reg.CounterFunc("vcached_persist_bytes_total", "Bytes appended to the persist log.", func() float64 { return float64(p.Stats().BytesAppended) })
+	reg.CounterFunc("vcached_persist_segments_total", "Persist log segments created.", func() float64 { return float64(p.Stats().SegmentsCreated) })
+	reg.CounterFunc("vcached_persist_compactions_total", "Persist log compaction passes.", func() float64 { return float64(p.Stats().Compactions) })
+	reg.CounterFunc("vcached_persist_corrupt_records_total", "Records dropped for failing checksum or decode verification.", func() float64 { return float64(p.Stats().CorruptRecords) })
+	reg.CounterFunc("vcached_persist_torn_truncations_total", "Torn log tails truncated during recovery.", func() float64 { return float64(p.Stats().TornTruncations) })
+	reg.CounterFunc("vcached_persist_io_errors_total", "Persist-tier I/O errors.", func() float64 { return float64(p.Stats().IOErrors) })
+	reg.CounterFunc("vcached_persist_evicted_keys_total", "Keys dropped by the persist disk budget.", func() float64 { return float64(p.Stats().EvictedKeys) })
+	reg.GaugeFunc("vcached_persist_keys", "Live keys in the persist index.", func() float64 { return float64(p.Stats().Keys) })
+	reg.GaugeFunc("vcached_persist_disk_bytes", "Bytes currently on disk across live segments.", func() float64 { return float64(p.Stats().DiskBytes) })
+	s.m.decodeErrors = reg.EventCounter("vcached_persist_decodeErrors_total", "Monotonic counter persist.decodeErrors.")
+	s.m.storeErrors = reg.EventCounter("vcached_persist_storeErrors_total", "Monotonic counter persist.storeErrors.")
+	s.m.exportErrors = reg.EventCounter("vcached_persist_exportErrors_total", "Monotonic counter persist.exportErrors.")
+	s.m.exportedKeys = reg.EventCounter("vcached_persist_exportedKeys_total", "Monotonic counter persist.exportedKeys.")
+	s.m.exportedBytes = reg.EventCounter("vcached_persist_exportedBytes_total", "Monotonic counter persist.exportedBytes.")
+	s.m.importErrors = reg.EventCounter("vcached_persist_importErrors_total", "Monotonic counter persist.importErrors.")
+	s.m.importedKeys = reg.EventCounter("vcached_persist_importedKeys_total", "Monotonic counter persist.importedKeys.")
+	s.m.importedBytes = reg.EventCounter("vcached_persist_importedBytes_total", "Monotonic counter persist.importedBytes.")
 }

@@ -2,12 +2,25 @@ package server
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"primecache/internal/obs"
 	"primecache/internal/sim"
 )
+
+// The metric types live in internal/obs; their edge cases are pinned
+// here, next to the server paths (hedge delays, Retry-After hints,
+// /v1/stats) that lean on them.
+
+// topEdgeUs is the histogram ladder's last finite upper bound.
+func topEdgeUs() int64 {
+	uppers, _ := obs.HistogramSnapshot{}.Cumulative()
+	return uppers[len(uppers)-1]
+}
 
 // TestHistogramQuantileEdges table-drives the quantile estimator
 // through its boundary behaviour: empty histograms, a single sample,
@@ -15,7 +28,7 @@ import (
 // Retry-After pricing both consume these values, so "0 on empty" and
 // "finite on overflow" are load-bearing.
 func TestHistogramQuantileEdges(t *testing.T) {
-	overflow := histBuckets[len(histBuckets)-1] * 316 / 100
+	overflow := topEdgeUs() * 316 / 100
 	cases := []struct {
 		name    string
 		observe []time.Duration
@@ -46,7 +59,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var h Histogram
+			var h obs.Histogram
 			for _, d := range tc.observe {
 				h.Observe(d)
 			}
@@ -69,7 +82,7 @@ func manyFast(n int) []time.Duration {
 // including the empty case (mean must be 0, not NaN — it is serialized
 // to JSON, which rejects NaN).
 func TestHistogramSnapshotStats(t *testing.T) {
-	var h Histogram
+	var h obs.Histogram
 	s := h.Snapshot()
 	if s.Count != 0 || s.MeanUs != 0 || len(s.Buckets) != 0 {
 		t.Errorf("empty snapshot = %+v, want zero values", s)
@@ -101,7 +114,7 @@ func TestHistogramSnapshotStats(t *testing.T) {
 // so rate computations over a wrap see one absurd sample instead of a
 // stuck counter.
 func TestCounterOverflow(t *testing.T) {
-	var c Counter
+	var c obs.Counter
 	c.Add(math.MaxUint64)
 	if got := c.Value(); got != math.MaxUint64 {
 		t.Fatalf("Value() = %d, want MaxUint64", got)
@@ -119,7 +132,7 @@ func TestCounterOverflow(t *testing.T) {
 // TestGaugeBelowZero: a gauge may legitimately go negative during
 // teardown races; it must count back up consistently.
 func TestGaugeBelowZero(t *testing.T) {
-	var g Gauge
+	var g obs.Gauge
 	g.Dec()
 	if got := g.Value(); got != -1 {
 		t.Errorf("Value() = %d, want -1", got)
@@ -132,19 +145,22 @@ func TestGaugeBelowZero(t *testing.T) {
 }
 
 // TestMetricsConcurrentObserveAndSnapshot hammers one registry with
-// concurrent writers on every metric type while readers snapshot it.
-// Run under -race this is the data-race proof for the lock-free metric
-// paths; the invariant checked is conservation — nothing observed is
-// ever lost once the writers are done.
+// concurrent writers on every metric type while readers render its
+// exposition. Run under -race this is the data-race proof for the
+// lock-free metric paths; the invariant checked is conservation —
+// nothing observed is ever lost once the writers are done.
 func TestMetricsConcurrentObserveAndSnapshot(t *testing.T) {
-	m := NewMetrics()
+	reg := obs.NewRegistry()
+	hits := reg.Counter("test_hits_total", "Hits.")
+	inflight := reg.Gauge("test_inflight", "In flight.")
+	latency := reg.HistogramVec("test_latency_seconds", "Latency.", "endpoint")
 	const writers = 8
 	const perWriter = 1000
 
 	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers: snapshot continuously while writes are in flight; the
-	// race detector proves snapshots never tear a metric's memory.
+	// Readers: render continuously while writes are in flight; the race
+	// detector proves scrapes never tear a metric's memory.
 	for r := 0; r < 2; r++ {
 		readerWG.Add(1)
 		go func() {
@@ -154,7 +170,11 @@ func TestMetricsConcurrentObserveAndSnapshot(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = m.Snapshot()
+					rec := httptest.NewRecorder()
+					reg.ServeHTTP(rec, nil)
+					if rec.Code != http.StatusOK {
+						t.Errorf("scrape status %d: %s", rec.Code, rec.Body)
+					}
 				}
 			}
 		}()
@@ -164,10 +184,10 @@ func TestMetricsConcurrentObserveAndSnapshot(t *testing.T) {
 		go func() {
 			defer writerWG.Done()
 			for i := 0; i < perWriter; i++ {
-				m.Counter("hits").Inc()
-				m.Gauge("inflight").Inc()
-				m.Histogram("latency").Observe(time.Duration(i) * time.Microsecond)
-				m.Gauge("inflight").Dec()
+				hits.Inc()
+				inflight.Inc()
+				latency.With("simulate").Observe(time.Duration(i) * time.Microsecond)
+				inflight.Dec()
 			}
 		}()
 	}
@@ -175,16 +195,18 @@ func TestMetricsConcurrentObserveAndSnapshot(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	s := m.Snapshot()
-	if got := s.Counters["hits"]; got != writers*perWriter {
-		t.Errorf("hits = %d, want %d", got, writers*perWriter)
+	if got := reg.Value("test_hits_total"); got != writers*perWriter {
+		t.Errorf("hits = %v, want %d", got, writers*perWriter)
 	}
-	if got := s.Gauges["inflight"]; got != 0 {
-		t.Errorf("inflight = %d at rest, want 0", got)
+	if got := reg.Value("test_inflight"); got != 0 {
+		t.Errorf("inflight = %v at rest, want 0", got)
 	}
-	hs := s.Latencies["latency"]
+	hs := latency.With("simulate").Snapshot()
 	if hs.Count != writers*perWriter {
 		t.Errorf("latency count = %d, want %d", hs.Count, writers*perWriter)
+	}
+	if got := reg.Value("test_latency_seconds", "simulate"); got != writers*perWriter {
+		t.Errorf("exposed latency count = %v, want %d", got, writers*perWriter)
 	}
 	var total uint64
 	for _, b := range hs.Buckets {
@@ -200,12 +222,13 @@ func TestMetricsConcurrentObserveAndSnapshot(t *testing.T) {
 // without any wall time passing.
 func TestMetricsUptimeOnVirtualClock(t *testing.T) {
 	vclk := sim.NewVirtual()
-	m := NewMetricsOn(vclk)
-	if up := m.Snapshot().UptimeSeconds; up != 0 {
+	s := New(Options{Workers: 1, Clock: vclk})
+	defer s.Close()
+	if up := s.Metrics().Value("vcached_uptime_seconds"); up != 0 {
 		t.Errorf("uptime = %v before any advance, want 0", up)
 	}
 	vclk.Advance(90 * time.Second)
-	if up := m.Snapshot().UptimeSeconds; up != 90 {
+	if up := s.Metrics().Value("vcached_uptime_seconds"); up != 90 {
 		t.Errorf("uptime = %v after advancing 90s, want 90", up)
 	}
 }

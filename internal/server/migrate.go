@@ -58,11 +58,11 @@ func (s *Server) handlePersistExport(w http.ResponseWriter, r *http.Request) {
 	// frame reader detects exactly like a torn log tail.
 	span.SetAttr("keys", strconv.FormatInt(keys, 10))
 	if werr != nil {
-		s.metrics.Counter("persist.exportErrors").Inc()
+		s.m.exportErrors.Inc()
 		return
 	}
-	s.metrics.Counter("persist.exportedKeys").Add(uint64(keys))
-	s.metrics.Counter("persist.exportedBytes").Add(uint64(bytes))
+	s.m.exportedKeys.Add(uint64(keys))
+	s.m.exportedBytes.Add(uint64(bytes))
 }
 
 // handlePersistImport reads a frame stream and writes each record
@@ -81,12 +81,12 @@ func (s *Server) handlePersistImport(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			s.metrics.Counter("persist.importErrors").Inc()
+			s.m.importErrors.Inc()
 			writeError(w, Errf(CodeInvalidRequest, "import stream after %d records: %v", resp.Imported, err))
 			return
 		}
 		if err := s.persist.Put(r.Context(), key, value); err != nil {
-			s.metrics.Counter("persist.importErrors").Inc()
+			s.m.importErrors.Inc()
 			writeError(w, Errf(CodeInternal, "storing imported record: %v", err))
 			return
 		}
@@ -94,7 +94,7 @@ func (s *Server) handlePersistImport(w http.ResponseWriter, r *http.Request) {
 		resp.Bytes += int64(len(value))
 	}
 	span.SetAttr("keys", strconv.FormatInt(resp.Imported, 10))
-	s.metrics.Counter("persist.importedKeys").Add(uint64(resp.Imported))
-	s.metrics.Counter("persist.importedBytes").Add(uint64(resp.Bytes))
+	s.m.importedKeys.Add(uint64(resp.Imported))
+	s.m.importedBytes.Add(uint64(resp.Bytes))
 	writeJSON(w, http.StatusOK, resp)
 }

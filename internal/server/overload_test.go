@@ -74,14 +74,14 @@ func TestShedRequestsNeverReachPool(t *testing.T) {
 	if stats.Admission.Shed != n {
 		t.Errorf("admission.shed = %d, want %d", stats.Admission.Shed, n)
 	}
-	if got := s.Metrics().Counter("pool.completed").Value(); got != 0 {
-		t.Errorf("pool completed %d tasks; shed requests must never reach the pool", got)
+	if got := s.Metrics().Value("vcached_pool_completed_total"); got != 0 {
+		t.Errorf("pool completed %v tasks; shed requests must never reach the pool", got)
 	}
-	if got := s.Metrics().Gauge("pool.busy").Value(); got != 0 {
-		t.Errorf("pool.busy = %d, want 0", got)
+	if got := s.Metrics().Value("vcached_pool_busy"); got != 0 {
+		t.Errorf("pool.busy = %v, want 0", got)
 	}
-	if got := s.Metrics().Gauge("admission.queued").Value(); got != 0 {
-		t.Errorf("admission.queued = %d after all requests returned, want 0", got)
+	if got := s.Metrics().Value("vcached_admission_queued"); got != 0 {
+		t.Errorf("admission.queued = %v after all requests returned, want 0", got)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestOverloadBurstShedsAndDrains(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("drain after burst: %v", err)
 	}
-	if got := s.Metrics().Gauge("admission.queued").Value(); got != 0 {
-		t.Errorf("admission.queued = %d after drain, want 0", got)
+	if got := s.Metrics().Value("vcached_admission_queued"); got != 0 {
+		t.Errorf("admission.queued = %v after drain, want 0", got)
 	}
 }
 

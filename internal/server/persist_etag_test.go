@@ -171,7 +171,7 @@ func TestWarmRestartFromPersist(t *testing.T) {
 	if warm.Stats != cold.Stats {
 		t.Errorf("warm answer differs from cold: %+v vs %+v", warm.Stats, cold.Stats)
 	}
-	if n := s2.Metrics().Counter("pool.completed").Value(); n != 0 {
+	if n := s2.pool.completed.Value(); n != 0 {
 		t.Errorf("warm hit burned %d pool jobs, want 0", n)
 	}
 	if st := store2.Stats(); st.Hits != 1 {

@@ -25,10 +25,10 @@ type Pool struct {
 
 	size      int
 	clock     sim.Clock
-	busy      *Gauge
-	queued    *Gauge
-	completed *Counter
-	latency   *Histogram
+	busy      *obs.Gauge
+	queued    *obs.Gauge
+	completed *obs.Counter
+	latency   *obs.Histogram
 }
 
 type poolTask struct {
@@ -46,19 +46,16 @@ type poolResult struct {
 }
 
 // NewPool starts size workers (size <= 0 selects GOMAXPROCS) and
-// registers occupancy metrics on m (which may be nil). Latencies are
-// measured on the real clock; NewPoolOn injects a different one.
-func NewPool(size int, m *Metrics) *Pool { return NewPoolOn(size, m, sim.Real) }
-
-// NewPoolOn is NewPool with the latency clock injected, so simulation
-// tests control what the pool histogram (and everything priced from it,
-// like Retry-After hints) observes.
-func NewPoolOn(size int, m *Metrics, clk sim.Clock) *Pool {
+// registers the vcached_pool_* families on reg (nil selects a private
+// registry). Latencies are measured on clk (nil selects the real
+// clock), so simulation tests control what the pool histogram (and
+// everything priced from it, like Retry-After hints) observes.
+func NewPool(size int, reg *obs.Registry, clk sim.Clock) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
-	if m == nil {
-		m = NewMetrics()
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
 	p := &Pool{
 		// A small queue smooths bursts; Submit still blocks (or times
@@ -68,12 +65,12 @@ func NewPoolOn(size int, m *Metrics, clk sim.Clock) *Pool {
 		terminated: make(chan struct{}),
 		size:       size,
 		clock:      sim.Or(clk),
-		busy:       m.Gauge("pool.busy"),
-		queued:     m.Gauge("pool.queued"),
-		completed:  m.Counter("pool.completed"),
-		latency:    m.Histogram("latency.pool"),
+		busy:       reg.Gauge("vcached_pool_busy", "Gauge pool.busy."),
+		queued:     reg.Gauge("vcached_pool_queued", "Gauge pool.queued."),
+		completed:  reg.Counter("vcached_pool_completed_total", "Monotonic counter pool.completed."),
+		latency:    reg.Histogram("vcached_latency_pool_seconds", "Latency histogram latency.pool in seconds."),
 	}
-	m.Gauge("pool.workers").Set(int64(size))
+	reg.Gauge("vcached_pool_workers", "Gauge pool.workers.").Set(int64(size))
 	p.wg.Add(size)
 	for i := 0; i < size; i++ {
 		go p.worker()

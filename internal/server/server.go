@@ -94,7 +94,8 @@ type Server struct {
 	opts    Options
 	clock   sim.Clock
 	tracer  *obs.Tracer
-	metrics *Metrics
+	reg     *obs.Registry
+	m       serverMetrics
 	memo    *Memo
 	persist *persist.Store
 	pool    *Pool
@@ -127,24 +128,25 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	clk := sim.Or(opts.Clock)
-	m := NewMetricsOn(clk)
+	reg := obs.NewRegistry()
 	s := &Server{
 		opts:    opts,
 		clock:   clk,
 		tracer:  opts.Tracer,
-		metrics: m,
+		reg:     reg,
 		memo:    NewMemo(opts.MemoEntries),
 		persist: opts.Persist,
-		pool:    NewPoolOn(opts.Workers, m, clk),
+		pool:    NewPool(opts.Workers, reg, clk),
 		mux:     http.NewServeMux(),
 		calls:   map[string]*inflightCall{},
 	}
+	s.registerMetrics()
 	capacity := s.pool.Size() + opts.QueueDepth
 	perEndpoint := opts.EndpointConcurrency
 	if perEndpoint <= 0 {
 		perEndpoint = capacity
 	}
-	s.admit = newAdmission(capacity, perEndpoint, []string{"simulate", "model", "sweep"}, m)
+	s.admit = newAdmission(capacity, perEndpoint, []string{"simulate", "model", "sweep"}, reg)
 	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
 	s.mux.Handle("POST /v1/model", s.instrument("model", s.handleModel))
 	s.mux.Handle("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
@@ -159,7 +161,7 @@ func New(opts Options) *Server {
 	// like the probes they stay answerable during a drain, and they are
 	// not themselves traced (a scraper polling every few seconds would
 	// churn the ring with single-span traces).
-	s.mux.Handle("GET /metrics", s.instrumentLive("metrics", s.handleMetrics))
+	s.mux.Handle("GET /metrics", s.instrumentLive("metrics", s.reg.ServeHTTP))
 	s.mux.Handle("GET /v1/debug/traces", s.instrumentLive("traces", s.handleTraces))
 	// Warm-state migration only exists where there is durable state to
 	// move: memory-only servers answer 404 on these paths, and their
@@ -175,8 +177,9 @@ func New(opts Options) *Server {
 // Handler returns the service's HTTP handler (for httptest and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns the registry (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Metrics returns the registry behind /metrics (for tests and
+// embedding).
+func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Tracer returns the server's tracer, nil when tracing is disabled.
 // Cluster tests use it to read a backend's finished-trace ring directly
@@ -307,7 +310,7 @@ func (s *Server) admitRequest(ctx context.Context, endpoint string) (func(), err
 // observed compute latency.
 func (s *Server) overloadedError() *APIError {
 	depth := s.admit.depth()
-	mean := s.metrics.Histogram("latency.pool").Snapshot().MeanUs
+	mean := s.pool.latency.Snapshot().MeanUs
 	ae := Errf(CodeOverloaded, "admission queue full (%d of %d slots in use)", depth, s.admit.capacity())
 	ae.RetryAfterMs = retryAfterHint(depth, s.pool.Size(), mean)
 	return ae
@@ -338,7 +341,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // instrument wraps a handler with request/error counters, an in-flight
-// gauge, and a latency histogram, all surfaced by /v1/stats. Once
+// gauge, and a latency histogram, all surfaced by /metrics. Once
 // shutdown begins the wrapped handler refuses with a structured 503.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 	return s.wrap(name, h, false)
@@ -352,10 +355,10 @@ func (s *Server) instrumentLive(name string, h http.HandlerFunc) http.Handler {
 }
 
 func (s *Server) wrap(name string, h http.HandlerFunc, live bool) http.Handler {
-	requests := s.metrics.Counter("requests." + name)
-	errors := s.metrics.Counter("errors." + name)
-	latency := s.metrics.Histogram("latency." + name)
-	inflight := s.metrics.Gauge("inflight")
+	requests := s.m.requests.With(name)
+	errors := s.m.errors.With(name)
+	latency := s.m.latency.With(name)
+	inflight := s.m.inflight
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !live {
 			s.drainMu.RLock()

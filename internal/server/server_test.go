@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"primecache/internal/cache"
+	"primecache/internal/obs"
 	"primecache/internal/trace"
 )
 
@@ -166,6 +167,10 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/simulate", `{"cache":{"kind":"bogus"}}`, CodeInvalidRequest},
 		{"/v1/simulate", `{"cache":{"kind":"prime","c":4}}`, CodeInvalidRequest},
 		{"/v1/simulate", `{"pattern":{"name":"fft","n":10,"b2":3}}`, CodeInvalidRequest},
+		// A descending walk below word 0 leaves the address range on
+		// every organisation, not only where the datapath would notice.
+		{"/v1/simulate", `{"cache":{"kind":"prime","c":7},"pattern":{"name":"strided","start":10,"stride":-1,"n":20}}`, CodeInvalidRequest},
+		{"/v1/simulate", `{"cache":{"kind":"direct"},"pattern":{"name":"strided","start":10,"stride":-1,"n":20}}`, CodeInvalidRequest},
 		{"/v1/simulate", `{"passes":-1}`, CodeInvalidRequest},
 		{"/v1/simulate", `{"pattern":{"name":"strided","n":2000000000}}`, CodeJobTooLarge},
 		{"/v1/simulate", `{"pattern":{"name":"subblock","b1":1000000,"b2":1000000}}`, CodeJobTooLarge},
@@ -322,7 +327,7 @@ func TestConcurrentSweepMatchesSerial(t *testing.T) {
 // TestMemoization proves identical back-to-back requests hit the memo
 // cache, observable via /v1/stats counters.
 func TestMemoization(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	req := SimulateRequest{
 		Cache:   cache.Spec{Kind: "direct", Lines: 1024},
 		Pattern: trace.Pattern{Name: "strided", Stride: 64, N: 2048},
@@ -374,8 +379,8 @@ func TestMemoization(t *testing.T) {
 	if after.Memo.HitRatio <= 0 {
 		t.Error("memo hit ratio not surfaced")
 	}
-	if after.Metrics.Counters["requests.simulate"] < 2 {
-		t.Errorf("requests.simulate = %d, want >= 2", after.Metrics.Counters["requests.simulate"])
+	if got := s.Metrics().Value("vcached_requests_total", "simulate"); got < 2 {
+		t.Errorf("requests{simulate} = %v, want >= 2", got)
 	}
 	if after.Pool.Workers <= 0 {
 		t.Error("pool.workers not surfaced")
@@ -525,8 +530,8 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 func TestPoolBounds(t *testing.T) {
-	m := NewMetrics()
-	p := NewPool(3, m)
+	reg := obs.NewRegistry()
+	p := NewPool(3, reg, nil)
 	defer p.Close()
 	var wg sync.WaitGroup
 	var maxBusy int64
@@ -539,7 +544,7 @@ func TestPoolBounds(t *testing.T) {
 			defer wg.Done()
 			p.Submit(context.Background(), func(context.Context) (any, error) {
 				mu.Lock()
-				if b := m.Gauge("pool.busy").Value(); b > maxBusy {
+				if b := p.busy.Value(); b > maxBusy {
 					maxBusy = b
 				}
 				mu.Unlock()
@@ -558,7 +563,7 @@ func TestPoolBounds(t *testing.T) {
 			t.Fatalf("only %d of 3 workers picked up jobs", i)
 		}
 	}
-	if b := m.Gauge("pool.busy").Value(); b != 3 {
+	if b := p.busy.Value(); b != 3 {
 		t.Errorf("busy = %d with 10 blocked jobs on 3 workers", b)
 	}
 	close(block)
@@ -566,8 +571,8 @@ func TestPoolBounds(t *testing.T) {
 	if maxBusy > 3 {
 		t.Errorf("max busy = %d exceeded pool size 3", maxBusy)
 	}
-	if got := m.Counter("pool.completed").Value(); got != 10 {
-		t.Errorf("completed = %d, want 10", got)
+	if got := reg.Value("vcached_pool_completed_total"); got != 10 {
+		t.Errorf("completed = %v, want 10", got)
 	}
 }
 
@@ -594,7 +599,7 @@ func TestComputeJobSingleFlight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.metrics.Counter("pool.completed").Value(); got != 1 {
+	if got := s.pool.completed.Value(); got != 1 {
 		t.Errorf("16 identical concurrent jobs computed %d times, want 1", got)
 	}
 	if got := memoized.Load(); got != 15 {
@@ -640,8 +645,7 @@ func TestValidateBoundsBeforeBuild(t *testing.T) {
 // pool.queued gauge: a task that slips into the queue after the workers
 // drain is abandoned with ErrPoolClosed and must still be un-counted.
 func TestPoolQueuedGaugeOnClose(t *testing.T) {
-	m := NewMetrics()
-	p := NewPool(1, m)
+	p := NewPool(1, nil, nil)
 	p.Close()
 	for i := 0; i < 100; i++ {
 		if _, err := p.Submit(context.Background(), func(context.Context) (any, error) {
@@ -650,7 +654,7 @@ func TestPoolQueuedGaugeOnClose(t *testing.T) {
 			t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
 		}
 	}
-	if q := m.Gauge("pool.queued").Value(); q != 0 {
+	if q := p.queued.Value(); q != 0 {
 		t.Errorf("pool.queued = %d after close, want 0", q)
 	}
 }
@@ -682,7 +686,7 @@ func TestMemoLRUEviction(t *testing.T) {
 }
 
 func TestMetricsHistogram(t *testing.T) {
-	var h Histogram
+	var h obs.Histogram
 	h.Observe(50 * time.Microsecond)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(20 * time.Second) // overflow bucket

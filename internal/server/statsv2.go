@@ -55,8 +55,8 @@ type PartialBlock struct {
 }
 
 // StatsV2 is the uniform cross-tier view of a stats response — the
-// schema-2 contract without the tier-specific extras (pool, metrics,
-// cluster routing). Client dashboards should consume this.
+// schema-2 contract without the tier-specific extras (pool, cluster
+// routing). Client dashboards should consume this.
 type StatsV2 struct {
 	Schema    int            `json:"schema"`
 	Memo      MemoBlock      `json:"memo"`
@@ -74,26 +74,6 @@ func (r StatsResponse) V2() StatsV2 {
 		Admission: r.Admission,
 		Partial:   r.Partial,
 	}
-}
-
-// memoBlock assembles the block from the memo's counters.
-func memoBlock(st MemoStats) MemoBlock {
-	return MemoBlock{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-		HitRatio:  st.HitRatio(),
-	}
-}
-
-// persistBlock assembles the block, zero-valued when the tier is off.
-func persistBlock(st *persist.Store) PersistBlock {
-	if st == nil {
-		return PersistBlock{}
-	}
-	return PersistBlock{Enabled: true, Stats: st.Stats()}
 }
 
 // SetDeprecationHeaders announces the schema-1 sunset on a /v1/stats

@@ -263,3 +263,17 @@ func TestChaosMembershipSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestViewMismatchFlagsDivergentCounter pins the stats-metrics
+// comparison: equal pairs pass, an event counter absent from /metrics
+// reads as 0, and any divergence is reported by series name.
+func TestViewMismatchFlagsDivergentCounter(t *testing.T) {
+	prom := map[string]float64{"vcached_memo_hits_total": 3}
+	agree := []counterPair{{"vcached_memo_hits_total", 3}, {"vcached_admission_degraded_total", 0}}
+	if d := viewMismatch(prom, agree); d != "" {
+		t.Errorf("agreeing views reported %q", d)
+	}
+	if d := viewMismatch(prom, []counterPair{{"vcached_memo_hits_total", 4}}); !strings.Contains(d, "vcached_memo_hits_total") {
+		t.Errorf("divergent hits counter reported %q, want it named", d)
+	}
+}

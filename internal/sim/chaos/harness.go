@@ -120,6 +120,7 @@ const (
 	InvWarm       = "warm-restart"      // a restarted node answers previously-persisted jobs memoized, with zero pool work
 	InvMembership = "membership-change" // admin join/leave calls complete against a reachable cluster
 	InvWarmJoin   = "warm-join"         // a freshly joined node answers a migrated probe job memoized, with zero pool work
+	InvViews      = "stats-metrics"     // every counter /v1/stats and /metrics both expose reads the same in both, at rest
 )
 
 // chaosAdminToken gates the coordinator's admin API inside the harness;
@@ -167,6 +168,7 @@ func Run(o Options) (*Report, error) {
 		r.checkLocality(step)
 		r.checkQuiesce(step)
 		r.checkTraces(step)
+		r.checkViews(step)
 	}
 	r.teardown()
 	if left := leak.Wait(2 * time.Second); len(left) > 0 {
@@ -368,7 +370,7 @@ func (r *run) warmProbe(step int, n *node, inv string, checks *int) {
 		return // this node never served the probe; nothing to assert
 	}
 	*checks++
-	before := srv.Metrics().Counter("pool.completed").Value()
+	before := srv.Metrics().Value("vcached_pool_completed_total")
 
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
@@ -389,8 +391,8 @@ func (r *run) warmProbe(step int, n *node, inv string, checks *int) {
 	if !res.Memoized {
 		r.violate(step, inv, fmt.Sprintf("node %d answered the persisted probe job unmemoized — the disk tier was not consulted", n.idx))
 	}
-	if after := srv.Metrics().Counter("pool.completed").Value(); after != before {
-		r.violate(step, inv, fmt.Sprintf("node %d burned %d pool job(s) answering a persisted job, want 0", n.idx, after-before))
+	if after := srv.Metrics().Value("vcached_pool_completed_total"); after != before {
+		r.violate(step, inv, fmt.Sprintf("node %d burned %v pool job(s) answering a persisted job, want 0", n.idx, after-before))
 	}
 }
 
@@ -481,20 +483,23 @@ func (r *run) runSweep(step int) {
 // every in-flight gauge is back to zero, on the coordinator and on each
 // live node. Handlers finish their bookkeeping just after writing the
 // response, so the check polls briefly before calling it a leak.
-func (r *run) checkQuiesce(step int) {
+func (r *run) checkQuiesce(step int) { r.atRest(step, InvAdmission, r.quiesceProblem) }
+
+// atRest polls problem for up to two seconds until it reports "" and
+// records a violation of inv with its last report if it never does.
+func (r *run) atRest(step int, inv string, problem func() string) {
 	deadline := time.Now().Add(2 * time.Second)
-	var detail string
 	for {
-		detail = r.quiesceProblem()
+		detail := problem()
 		if detail == "" {
 			return
 		}
 		if time.Now().After(deadline) {
-			break
+			r.violate(step, inv, detail)
+			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r.violate(step, InvAdmission, detail)
 }
 
 // quiesceProblem returns a description of the first gauge still off
@@ -505,10 +510,9 @@ func (r *run) quiesceProblem() string {
 		if srv == nil {
 			continue
 		}
-		snap := srv.Metrics().Snapshot()
-		for _, g := range []string{"admission.queued", "pool.busy", "pool.queued", "inflight"} {
-			if v := snap.Gauges[g]; v != 0 {
-				return fmt.Sprintf("node %d gauge %s = %d at rest, want 0", n.idx, g, v)
+		for _, g := range []string{"vcached_admission_queued", "vcached_pool_busy", "vcached_pool_queued", "vcached_inflight"} {
+			if v := srv.Metrics().Value(g); v != 0 {
+				return fmt.Sprintf("node %d gauge %s = %v at rest, want 0", n.idx, g, v)
 			}
 		}
 	}
@@ -523,21 +527,7 @@ func (r *run) quiesceProblem() string {
 // stays inside one trace" is proven. Publication trails the HTTP
 // response by a scheduler beat (the edge span ends after the handler
 // returns), so the check polls briefly like checkQuiesce does.
-func (r *run) checkTraces(step int) {
-	deadline := time.Now().Add(2 * time.Second)
-	var detail string
-	for {
-		detail = r.traceProblem()
-		if detail == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.violate(step, InvTrace, detail)
-}
+func (r *run) checkTraces(step int) { r.atRest(step, InvTrace, r.traceProblem) }
 
 // traceProblem returns a description of the first stitching breach, or
 // "" when every backend trace joins up.

@@ -6,7 +6,8 @@
 // duplicated jobs, byte-identical results against a single-node oracle,
 // memoizer locality across failover, admission-gauge conservation at
 // quiesce, trace stitching across every hop (including failover hops),
-// and no goroutine leaks at teardown. Every run's event log is a pure
+// /v1/stats and /metrics agreeing on every counter both expose, and no
+// goroutine leaks at teardown. Every run's event log is a pure
 // function of its seed, so any violation is replayable from the seed
 // alone.
 package chaos

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"primecache/internal/cache"
 )
 
 // Pattern is a serialisable description of a synthetic access pattern —
@@ -80,6 +82,15 @@ func (p Pattern) Validate() error {
 	}
 	if p.Name == "fft" && (p.B2 <= 0 || p.N%p.B2 != 0) {
 		return fmt.Errorf("trace: fft pattern needs b2 (%d) dividing n (%d)", p.B2, p.N)
+	}
+	// Strided and diagonal patterns are one strided walk each.
+	stride := p.Stride
+	if p.Name == "diagonal" {
+		stride = int64(p.LD) + 1
+	}
+	if (p.Name == "strided" || p.Name == "diagonal") && !cache.StridedAddrsSafe(p.Start, stride, p.N) {
+		return fmt.Errorf("trace: %s walk from word %d by %d for %d elements leaves the address range [0, 2^62)",
+			p.Name, p.Start, stride, p.N)
 	}
 	return nil
 }
